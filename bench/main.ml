@@ -32,7 +32,8 @@ module Auth_cache = Ifdb_platform.Auth_cache
 
 let quick = ref false
 
-let now () = Unix.gettimeofday ()
+(* seconds on the engine's monotonic clock: for elapsed times only *)
+let now () = float_of_int (Ifdb_obs.Clock.now_ns ()) *. 1e-9
 
 let hr title = Printf.printf "\n=== %s ===\n%!" title
 

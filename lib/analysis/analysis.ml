@@ -8,6 +8,7 @@ module Value = Ifdb_rel.Value
 module Schema = Ifdb_rel.Schema
 module Catalog = Ifdb_engine.Catalog
 module Heap = Ifdb_storage.Heap
+module Manager = Ifdb_txn.Manager
 
 module Ts = Trace_state
 
@@ -17,7 +18,7 @@ type ctx = {
   an_store : Label_store.t;
   an_principal : Principal.t;
   an_label : Label.t;
-  an_write_labels : Label.t list;
+  an_writes : Manager.write list;
   an_clearance : bool;
   an_in_txn : bool;
   an_trace : Ts.t option;
@@ -177,7 +178,9 @@ let causal_revoke ctx tag =
    label.  Counts include versions awaiting vacuum, so they are a
    conservative superset of what any snapshot sees; [p_unknown] counts
    live versions whose label was never interned (tuples built outside
-   the statement path), about which nothing can be claimed. *)
+   the statement path), about which nothing can be claimed.  The
+   [(label, count)] lists are unsorted: {!labels_str} orders what it
+   renders, and nothing else depends on their order. *)
 type parts = {
   p_visible : (Label.t * int) list;
   p_hidden : (Label.t * int) list;
@@ -204,16 +207,13 @@ let partitions ctx (rt : rtable) ~dst =
                 vis := (l, count) :: !vis
               else hid := (l, count) :: !hid
             end));
-  (* heap iteration order is not deterministic; diagnostics are *)
-  let sort = List.sort (fun (a, _) (b, _) -> Label.compare a b) in
   let events =
     match sym_trace ctx with
     | Some ts -> Ts.deltas ts rt.rt_name
     | None -> []
   in
   if events = [] then
-    { p_visible = sort !vis; p_hidden = sort !hid; p_unknown = !unknown;
-      p_maybe = [] }
+    { p_visible = !vis; p_hidden = !hid; p_unknown = !unknown; p_maybe = [] }
   else begin
     (* Fold the script's own insert/delete events over the committed
        counts.  Per label the state is three-valued: provably non-empty
@@ -258,14 +258,18 @@ let partitions ctx (rt : rtable) ~dst =
             then vis' := (l, n) :: !vis'
             else hid' := (l, n) :: !hid')
       !states;
-    { p_visible = sort !vis'; p_hidden = sort !hid'; p_unknown = !unknown';
+    { p_visible = !vis'; p_hidden = !hid'; p_unknown = !unknown';
       p_maybe = List.sort Label.compare !maybe }
   end
 
 let total xs = List.fold_left (fun acc (_, n) -> acc + n) 0 xs
 
+(* Partition lists are in heap iteration order, which is not
+   deterministic; diagnostics must be. *)
 let labels_str ctx xs =
-  String.concat ", " (List.map (fun (l, _) -> lbl ctx l) xs)
+  List.sort (fun (a, _) (b, _) -> Label.compare a b) xs
+  |> List.map (fun (l, _) -> lbl ctx l)
+  |> String.concat ", "
 
 let interval_of_parts parts ~dst =
   if parts.p_unknown > 0 then
@@ -1055,12 +1059,20 @@ let analyze_commit ctx ~add =
         | Some _ | None -> "")
     | None -> ""
   in
-  let seen = ref [] in
+  (* one diagnostic per distinct written label, in first-write order;
+     labels are deduplicated by interned id *)
+  let ls_id = Label_store.intern ctx.an_store ls in
+  let seen = Hashtbl.create 8 in
   List.iter
-    (fun w ->
-      if not (List.exists (Label.equal w) !seen) then begin
-        seen := w :: !seen;
-        if not (flows ctx ~src:ls ~dst:w) then begin
+    (fun (wr : Manager.write) ->
+      let id =
+        if wr.w_label_id >= 0 then wr.w_label_id
+        else Label_store.intern ctx.an_store wr.w_label
+      in
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.add seen id ();
+        let w = wr.w_label in
+        if not (Label_store.flows_id ctx.an_store ~src:ls_id ~dst:id) then begin
           let missing =
             List.filter
               (fun t -> not (Authority.covers ctx.an_auth w t))
@@ -1083,7 +1095,7 @@ let analyze_commit ctx ~add =
                (lbl ctx ls) (lbl ctx w) (origin w) mstr)
         end
       end)
-    ctx.an_write_labels
+    (List.rev ctx.an_writes)
 
 let perform_name_args (args : A.expr list) =
   let name_of = function
@@ -1390,7 +1402,7 @@ let subst_params (bindings : Value.t array) (stmt : A.stmt) : A.stmt =
 (* ------------------------------------------------------------------ *)
 
 (* The per-statement context under the trace's current symbolic state.
-   [an_write_labels] is emptied: the open transaction's write set lives
+   [an_writes] is emptied: the open transaction's write set lives
    in the trace and COMMIT is handled by the driver, not by
    [analyze_commit]. *)
 let trace_ctx ctx ts =
@@ -1400,7 +1412,7 @@ let trace_ctx ctx ts =
     an_label = Ts.label ts;
     an_in_txn = Ts.in_open_txn ts;
     an_trace = Some ts;
-    an_write_labels = [];
+    an_writes = [];
   }
 
 (* Total version of the executor's CREATE TABLE schema derivation. *)
@@ -1917,7 +1929,10 @@ let trace_begin ctx : Ts.t =
      become index-0 definite writes *)
   if ctx.an_in_txn then
     Ts.begin_txn ts ~index:0
-      ~writes:(List.map (fun l -> (0, "", l, true)) ctx.an_write_labels)
+      ~writes:
+        (List.rev_map
+           (fun w -> (0, "", w.Manager.w_label, true))
+           ctx.an_writes)
       ();
   ts
 

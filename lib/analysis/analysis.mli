@@ -37,9 +37,13 @@ type ctx = {
   an_store : Ifdb_difc.Label_store.t;
   an_principal : Ifdb_difc.Principal.t;
   an_label : Label.t;  (** the session label the statement would run under *)
-  an_write_labels : Label.t list;
-      (** labels already in the open transaction's write set (for
-          COMMIT analysis); empty outside a transaction *)
+  an_writes : Ifdb_txn.Manager.write list;
+      (** the open transaction's write set, newest first, as it stood
+          when the statement was analyzed; empty outside a transaction.
+          Captured by pointer ({!Ifdb_txn.Manager.writes_newest_first}),
+          never copied: only COMMIT analysis and {!trace_begin} walk
+          it, so analyzing any other statement costs nothing per
+          pending write. *)
   an_clearance : bool;
       (** the clearance rule is active (serializable isolation):
           [addsecrecy] inside an explicit transaction requires

@@ -29,6 +29,7 @@ module Diag = Ifdb_analysis.Diag
 module Metrics = Ifdb_obs.Metrics
 module Trace = Ifdb_obs.Trace
 module Span = Ifdb_obs.Span
+module Clock = Ifdb_obs.Clock
 module Audit = Ifdb_obs.Audit
 module Group_commit = Ifdb_txn.Group_commit
 
@@ -1987,11 +1988,10 @@ let analysis_ctx s : Analysis.ctx =
     an_store = s.sdb.lstore;
     an_principal = s.s_principal;
     an_label = s.s_label;
-    an_write_labels =
+    an_writes =
       (match s.s_txn with
       | None -> []
-      | Some txn ->
-          List.map (fun w -> w.Manager.w_label) (Manager.writes txn));
+      | Some txn -> Manager.writes_newest_first txn);
     an_clearance = (s.sdb.iso = Serializable);
     an_in_txn = s.s_txn <> None;
     an_trace = s.s_flow;
@@ -2184,9 +2184,9 @@ let explain_analyze_select s sel : string list * result =
       Fun.protect
         ~finally:(fun () -> s.s_trace <- None)
         (fun () ->
-          let t0 = Trace.now_ns () in
+          let t0 = Clock.now_ns () in
           let tuples = Executor.run_list (exec_ctx s) plan in
-          let total_ns = Trace.now_ns () - t0 in
+          let total_ns = Clock.now_ns () - t0 in
           (* attach the operator tree as spans under an "execute"
              span: per-operator durations are the trace's real
              figures, but start offsets are synthetic — operators
@@ -2445,7 +2445,7 @@ let exec_stmt_guarded ?cache ?parse s stmt =
   (* clock reads only when someone will consume them: the latency
      histogram (metrics on) or the slow-query log (threshold set) *)
   let timed = Metrics.enabled db.metrics || db.slow_ns <> max_int in
-  let t0 = if timed then Trace.now_ns () else 0 in
+  let t0 = if timed then Clock.now_ns () else 0 in
   (* span sampling: one atomic fetch-and-add; when it says no (or
      sampling is off), [sctx] is [None] and every instrumentation
      point below reduces to a domain-local load.  A sampled statement
@@ -2455,7 +2455,7 @@ let exec_stmt_guarded ?cache ?parse s stmt =
   let sctx =
     if Span.sample db.spans then begin
       let root_t0 =
-        match parse with Some (p0, _) -> p0 | None -> Span.now_ns ()
+        match parse with Some (p0, _) -> p0 | None -> Clock.now_ns ()
       in
       let ctx =
         Span.start db.spans ~t0:root_t0 ~args:(span_root_args stmt) "statement"
@@ -2506,7 +2506,7 @@ let exec_stmt_guarded ?cache ?parse s stmt =
         | _ -> ());
         Metrics.incr db.mx.mx_statements;
         if timed then begin
-          let ns = Trace.now_ns () - t0 in
+          let ns = Clock.now_ns () - t0 in
           Metrics.observe db.mx.mx_latency (float_of_int ns /. 1e9);
           if ns >= db.slow_ns then begin
             Metrics.incr db.mx.mx_slow;
@@ -2566,11 +2566,11 @@ let exec s sql_text =
              now and let the guarded path backdate the root and attach
              a "parse" span.  Racy across sessions by design — a wrong
              guess costs two clock reads, never correctness. *)
-          let p0 = if Span.peek db.spans then Span.now_ns () else 0 in
+          let p0 = if Span.peek db.spans then Clock.now_ns () else 0 in
           match Parser.parse sql_text with
           | [ stmt ] ->
               let parse =
-                if p0 > 0 then Some (p0, Span.now_ns ()) else None
+                if p0 > 0 then Some (p0, Clock.now_ns ()) else None
               in
               let cache =
                 if db.plan_cache_on then implicit_cache_admit db key stmt

@@ -167,13 +167,13 @@ let parallel_for t ?width ~tasks f =
       match Span.current () with
       | None -> f
       | Some ctx ->
-          let t_pub = Span.now_ns () in
+          let t_pub = Ifdb_obs.Clock.now_ns () in
           fun ~worker i ->
             let run () =
-              let t0 = Span.now_ns () in
+              let t0 = Ifdb_obs.Clock.now_ns () in
               Fun.protect
                 ~finally:(fun () ->
-                  let t1 = Span.now_ns () in
+                  let t1 = Ifdb_obs.Clock.now_ns () in
                   Span.emit ctx "morsel"
                     ~args:
                       [

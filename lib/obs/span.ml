@@ -40,7 +40,6 @@ type t = {
   mutable finished : int; (* records ever pushed *)
 }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 let dom_id () = (Domain.self () :> int)
 
 let create ?(capacity = 256) ?(sample_every = 0) () =
@@ -97,7 +96,7 @@ let with_current c f =
 (* Recording *)
 
 let start t ?t0 ?(args = []) name =
-  let t0 = match t0 with Some n -> n | None -> now_ns () in
+  let t0 = match t0 with Some n -> n | None -> Clock.now_ns () in
   {
     c_id = Atomic.fetch_and_add t.trace_ids 1;
     c_root_name = name;
@@ -133,7 +132,7 @@ let begin_span ctx ?(args = []) name =
       sp_parent = parent_id ctx;
       sp_name = name;
       sp_dom = dom_id ();
-      sp_t0 = now_ns ();
+      sp_t0 = Clock.now_ns ();
       sp_args = args;
     }
   in
@@ -153,7 +152,7 @@ let close_span sp ~t1 =
     }
 
 let end_span sp =
-  let t1 = now_ns () in
+  let t1 = Clock.now_ns () in
   let fr = Domain.DLS.get frame_key in
   (match fr.f_stack with
   | top :: rest when top == sp -> fr.f_stack <- rest
@@ -195,7 +194,7 @@ let emit ctx ?(args = []) name ~t0 ~t1 =
     }
 
 let finish t ctx =
-  let t1 = now_ns () in
+  let t1 = Clock.now_ns () in
   (* close anything this domain left open (error paths); other domains
      have long since drained — parallel batches join before the
      statement returns *)

@@ -27,12 +27,12 @@
       names never enter a span at all (see DESIGN.md §6.10), so a
       Chrome export can be shared without declassification.
 
-    The clock is [Unix.gettimeofday] scaled to nanoseconds — the same
-    monotonic-enough clock {!Trace} uses, so operator traces and spans
-    agree.  A span whose recorded start would precede its statement
-    root (e.g. a lock acquired by an earlier statement of an explicit
-    transaction) is clipped to the statement window, keeping every
-    record well-nested by construction. *)
+    The clock is {!Clock.now_ns}, the monotonic clock {!Trace} reads
+    too, so operator traces and spans agree.  A span whose recorded
+    start would precede its statement root (e.g. a lock acquired by an
+    earlier statement of an explicit transaction) is clipped to the
+    statement window, keeping every record well-nested by
+    construction. *)
 
 type t
 (** A recorder: sampling state plus the ring of finished records.
@@ -84,8 +84,6 @@ val peek : t -> bool
     context exists) without consuming the slot.  Racy across sessions
     by design — a wrong guess costs or saves two clock reads, never
     correctness. *)
-
-val now_ns : unit -> int
 
 (** {1 Statement contexts} *)
 

@@ -33,8 +33,6 @@ let create () =
     scan_order = [];
   }
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
 let enter t label =
   let node =
     {
@@ -62,9 +60,9 @@ let exit_node t node =
 
 let wrap_seq node (s : 'a Seq.t) : 'a Seq.t =
   let rec wrap s () =
-    let t0 = now_ns () in
+    let t0 = Clock.now_ns () in
     let r = s () in
-    node.n_ns <- node.n_ns + (now_ns () - t0);
+    node.n_ns <- node.n_ns + (Clock.now_ns () - t0);
     match r with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (x, rest) ->

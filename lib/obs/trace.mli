@@ -39,9 +39,6 @@ type scan = {
 
 val create : unit -> t
 
-val now_ns : unit -> int
-(** Monotonic-enough wall clock in nanoseconds ([Unix.gettimeofday]). *)
-
 val enter : t -> string -> node
 (** Open an operator node as a child of the innermost open node. *)
 

@@ -85,9 +85,9 @@ let fsync t =
   match Ifdb_obs.Span.current () with
   | None -> Mutex.protect t.mu (fun () -> fsync_locked t)
   | Some ctx ->
-      let t0 = Ifdb_obs.Span.now_ns () in
+      let t0 = Ifdb_obs.Clock.now_ns () in
       Mutex.protect t.mu (fun () -> fsync_locked t);
-      let t1 = Ifdb_obs.Span.now_ns () in
+      let t1 = Ifdb_obs.Clock.now_ns () in
       Ifdb_obs.Span.emit ctx "wal.fsync"
         ~args:[ ("modeled_ns", string_of_int t.fsync_cost_ns) ]
         ~t0 ~t1;

@@ -1,5 +1,6 @@
 module Wal = Ifdb_storage.Wal
 module Span = Ifdb_obs.Span
+module Clock = Ifdb_obs.Clock
 
 type stats = {
   gc_submitted : int;
@@ -66,7 +67,7 @@ let submit t ~xid =
      fsync, [queued] returned immediately (asynchronous mode).
      Unsampled statements take the original path: no clock reads. *)
   let sctx = Span.current () in
-  let t_enter = match sctx with Some _ -> Span.now_ns () | None -> 0 in
+  let t_enter = match sctx with Some _ -> Clock.now_ns () | None -> 0 in
   let role = ref "queued" in
   Mutex.lock t.mu;
   Wal.append t.wal (Wal.Commit xid);
@@ -109,7 +110,7 @@ let submit t ~xid =
   match sctx with
   | None -> ()
   | Some ctx ->
-      let t_exit = Span.now_ns () in
+      let t_exit = Clock.now_ns () in
       Span.emit ctx "gc.wait" ~args:[ ("role", !role) ] ~t0:t_enter ~t1:t_exit;
       t.on_wait (float_of_int (t_exit - t_enter) /. 1e9)
 

@@ -1,4 +1,5 @@
 module Span = Ifdb_obs.Span
+module Clock = Ifdb_obs.Clock
 
 exception Serialization_failure of string
 exception Not_in_progress of string
@@ -167,11 +168,11 @@ let redact_key key =
    called in serializable mode, so the snapshot-isolation default
    reads no clock. *)
 let timed_acquire t txn key check =
-  let t0 = Span.now_ns () in
+  let t0 = Clock.now_ns () in
   if txn.t_lock_t0 = 0 then txn.t_lock_t0 <- t0;
   Fun.protect
     ~finally:(fun () ->
-      let t1 = Span.now_ns () in
+      let t1 = Clock.now_ns () in
       ignore (Atomic.fetch_and_add t.lock_wait_ns (t1 - t0));
       match Span.current () with
       | Some ctx ->
@@ -314,6 +315,7 @@ let record_delete t txn heap (v : Ifdb_storage.Heap.version) =
     :: txn.t_writes
 
 let writes txn = List.rev txn.t_writes
+let writes_newest_first txn = txn.t_writes
 
 let close t txn =
   t.open_txns <- List.filter (fun o -> o.t_xid <> txn.t_xid) t.open_txns
@@ -334,11 +336,11 @@ let commit t txn =
          critical section held it (hold).  If serializable locking
          acquired S2PL locks, their hold — first acquisition to
          commit, clipped to this statement — is recorded too. *)
-      let t0 = Span.now_ns () in
+      let t0 = Clock.now_ns () in
       Mutex.lock t.mu;
-      let t1 = Span.now_ns () in
+      let t1 = Clock.now_ns () in
       Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) mark_committed;
-      let t2 = Span.now_ns () in
+      let t2 = Clock.now_ns () in
       ignore (Atomic.fetch_and_add t.lock_wait_ns (t1 - t0));
       Span.emit ctx "lock.wait" ~args:[ ("lock", "manager") ] ~t0 ~t1;
       Span.emit ctx "lock.hold" ~args:[ ("lock", "manager") ] ~t0:t1 ~t1:t2;

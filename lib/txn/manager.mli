@@ -148,7 +148,12 @@ val record_delete :
     version is not visible to the caller. *)
 
 val writes : txn -> write list
-(** The write set, oldest first. *)
+(** The write set, oldest first.  Copies: O(write set). *)
+
+val writes_newest_first : txn -> write list
+(** The write set, newest first, without copying: O(1).  The list is
+    immutable, so a caller holding it sees the write set as of the
+    call even while the transaction keeps writing. *)
 
 val commit : t -> txn -> unit
 (** Commit: mark committed, then submit the commit record to the group

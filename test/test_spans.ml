@@ -174,7 +174,7 @@ let test_lifecycle_phases () =
   Alcotest.(check bool) "fsync histogram fed" true
     (v "ifdb_fsync_stall_seconds_count" > 0.0);
   (* the wait itself can round to 0ns on an uncontended mutex at
-     gettimeofday resolution — only presence is deterministic *)
+     clock resolution — only presence is deterministic *)
   Alcotest.(check bool) "lock-wait counter registered" true
     (List.mem_assoc "ifdb_lock_wait_ns_total" snap)
 
