@@ -1236,30 +1236,28 @@ let ablations () =
 (* Label-sharded storage: partition pruning by construction (PR 7)     *)
 (* ------------------------------------------------------------------ *)
 
-(* CarTel-shaped multi-label scans under both storage layouts.  The
-   flat layout decides the confinement verdict per tuple (memoized per
-   label, but still one probe per row); the partitioned layout decides
-   it once per label partition and never visits pruned pages.  Two
-   reader shapes bracket the design space:
+(* CarTel-shaped multi-label scans over label-sharded storage: the
+   confinement verdict is decided once per label partition and pruned
+   pages are never visited.  Two reader shapes bracket the design
+   space:
 
    - [own]: a single user reading their own telemetry — the website's
-     dominant query.  Under partitioning the scan touches 1/groups of
-     the heap; pruning does all the work, so this is where partitioned
-     must beat flat even at parallelism 1.
+     dominant query.  The scan touches 1/groups of the heap and prunes
+     every other partition.
    - [fleet]: an analyst under the covering compound reading every
-     partition — the worst case for partitioning (nothing prunes, the
-     k-way merge is pure overhead), included honestly.
+     partition — the worst case for sharding (nothing prunes, the k-way
+     merge is pure overhead), included honestly.
 
-   Swept over partition count x domains, layouts interleaved per cell
-   so allocator drift hits both equally. *)
+   Swept over partition count x domains; each record carries the
+   best-of-3 scan time and the partitions pruned per scan. *)
 let partition_sweep () =
   hr "Label-sharded storage: partition-count x domain sweep (PR 7)";
   let rows = if !quick then 8_000 else 40_000 in
   let scans = if !quick then 6 else 15 in
   let group_counts = if !quick then [ 4; 16 ] else [ 4; 16; 64 ] in
   let domain_counts = if !quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let build ~partitioned ~parallelism ~groups =
-    let db = Db.create ~partitioned ~parallelism () in
+  let build ~parallelism ~groups =
+    let db = Db.create ~parallelism () in
     let admin = Db.connect_admin db in
     let all_drives = Db.create_tag admin ~name:"all_drives" () in
     let users =
@@ -1316,29 +1314,18 @@ let partition_sweep () =
   in
   Printf.printf "%d rows; available cores: %d\n" rows
     (Domain.recommended_domain_count ());
-  Printf.printf "%-7s %8s %8s %12s %12s %10s %8s\n" "query" "groups" "domains"
-    "flat ms" "sharded ms" "speedup" "pruned";
-  (* (groups, domains, query) -> (flat_ms, part_ms) for the acceptance
-     line *)
-  let cells = Hashtbl.create 32 in
+  Printf.printf "%-7s %8s %8s %12s %8s\n" "query" "groups" "domains"
+    "sharded ms" "pruned";
   List.iter
     (fun groups ->
       List.iter
         (fun domains ->
-          let fdb, fown, ffleet =
-            build ~partitioned:false ~parallelism:domains ~groups
-          in
-          let pdb, pown, pfleet =
-            build ~partitioned:true ~parallelism:domains ~groups
-          in
+          let db, own, fleet = build ~parallelism:domains ~groups in
           List.iter
-            (fun (qname, fs, ps) ->
-              let flat_ms, _ = time_scan fdb fs in
-              let part_ms, pruned = time_scan pdb ps in
-              Hashtbl.replace cells (groups, domains, qname)
-                (flat_ms, part_ms);
-              Printf.printf "%-7s %8d %8d %12.3f %12.3f %9.2fx %8d\n%!" qname
-                groups domains flat_ms part_ms (flat_ms /. part_ms) pruned;
+            (fun (qname, session) ->
+              let ms, pruned = time_scan db session in
+              Printf.printf "%-7s %8d %8d %12.3f %8d\n%!" qname groups domains
+                ms pruned;
               record_json
                 [
                   ("workload", jstr "partition");
@@ -1346,34 +1333,13 @@ let partition_sweep () =
                   ("groups", jint groups);
                   ("domains", jint domains);
                   ("rows", jint rows);
-                  ("ms_flat", jfloat flat_ms);
-                  ("ms_partitioned", jfloat part_ms);
-                  ("speedup", jfloat (flat_ms /. part_ms));
+                  ("ms_partitioned", jfloat ms);
                   ("partitions_pruned_per_scan", jint pruned);
-                  ("metrics", metrics_json pdb);
+                  ("metrics", metrics_json db);
                 ])
-            [ ("own", fown, pown); ("fleet", ffleet, pfleet) ])
+            [ ("own", own); ("fleet", fleet) ])
         domain_counts)
-    group_counts;
-  (* acceptance: at parallelism 1 — pruning alone, no domains to hide
-     behind — the sharded layout must win the single-user scan on the
-     largest sweep point, and prune counts must be visible in JSON *)
-  let g = List.fold_left max 4 group_counts in
-  match Hashtbl.find_opt cells (g, 1, "own") with
-  | Some (flat_ms, part_ms) ->
-      Printf.printf
-        "\nacceptance: own-partition scan, %d groups, 1 domain: flat %.3f ms \
-         vs sharded %.3f ms (sharded faster: %b)\n"
-        g flat_ms part_ms (part_ms < flat_ms);
-      record_json
-        [
-          ("workload", jstr "partition_acceptance");
-          ("groups", jint g);
-          ("ms_flat", jfloat flat_ms);
-          ("ms_partitioned", jfloat part_ms);
-          ("partitioned_faster", if part_ms < flat_ms then "true" else "false");
-        ]
-  | None -> ()
+    group_counts
 
 (* ------------------------------------------------------------------ *)
 (* Prepared statements + plan cache (PR 8)                             *)

@@ -14,14 +14,11 @@
     {b Label partitions.}  The heap keeps a partition directory keyed
     by interned label id (-1 groups the uninterned): each partition
     records its slice of the vid space in ascending order, maintained
-    incrementally on insert/vacuum — never rebuilt by scanning.  With
-    [partitioned], each partition additionally owns its page run, so
-    tuples under different labels never share a page and label
-    confinement prunes whole page runs by construction; without it the
-    heap keeps the classic shared append layout (the A/B baseline).
-    The merged-scan primitives enumerate only the partitions a caller
-    keeps, in global vid order — observably identical output to a flat
-    scan plus a per-tuple label filter. *)
+    incrementally on insert/vacuum — never rebuilt by scanning.  Each
+    partition also owns its page run, so tuples under different labels
+    never share a page and label confinement prunes whole page runs by
+    construction.  The merged-scan primitives enumerate only the
+    partitions a caller keeps, in global vid (insertion) order. *)
 
 type version = {
   vid : int;                (** stable version id within this heap *)
@@ -33,18 +30,9 @@ type version = {
 
 type t
 
-val create :
-  name:string ->
-  labeled:bool ->
-  pool:Buffer_pool.t ->
-  ?partitioned:bool ->
-  unit ->
-  t
+val create : name:string -> labeled:bool -> pool:Buffer_pool.t -> unit -> t
 (** [labeled] selects the tuple size model: with IFC on, labels cost
-    4 bytes per tag on the page; the baseline stores no label bytes.
-    [partitioned] (default false) selects per-label-id page runs. *)
-
-val partitioned : t -> bool
+    4 bytes per tag on the page; the baseline stores no label bytes. *)
 
 val name : t -> string
 val pool : t -> Buffer_pool.t
@@ -72,17 +60,6 @@ val slot_count : t -> int
 (** Upper bound of the version-id space: the partition domain for
     morsel-parallel scans (includes vacuumed holes, which scan as
     empty). *)
-
-val scan_range : t -> lo:int -> hi:int -> (version -> unit) -> unit
-(** [scan_range t ~lo ~hi f]: {!iter} restricted to version ids in
-    [\[lo, hi)] — one morsel of a parallel scan.  Charges each distinct
-    page once per call; morsels are called concurrently from worker
-    domains, which is safe because versions are appended in page order
-    (disjoint ranges touch mostly disjoint pages) and {!Buffer_pool}
-    touches are thread-safe.  The [version] record fields read here
-    ([vid], [tuple], [page]) are immutable after insert; [xmin]/[xmax]
-    are mutated only by writer transactions, which never run
-    concurrently with a read-only parallel scan. *)
 
 val version_count : t -> int
 (** Number of versions ever created and not vacuumed. *)
@@ -131,7 +108,7 @@ type partition_stats = {
   ps_lid : int;
   ps_versions : int; (** non-vacuumed versions *)
   ps_live : int;     (** versions not deleted-and-committed *)
-  ps_pages : int;    (** pages owned (0 in the flat layout) *)
+  ps_pages : int;    (** pages in the partition's run *)
 }
 
 val partition_stats : t -> partition_stats list
@@ -140,16 +117,19 @@ val partition_stats : t -> partition_stats list
 
 (** {1 Merged scans over selected partitions} *)
 
-val iter_merge : t -> keep:(int -> bool) -> (version -> unit) -> unit
-(** Scan only the partitions whose label id [keep] accepts, merged into
-    global vid order — the same versions, in the same order, as {!iter}
-    followed by a per-tuple label filter, but without ever touching a
-    pruned partition's slots or pages. *)
-
 val iter_merge_range :
   t -> keep:(int -> bool) -> lo:int -> hi:int -> (version -> unit) -> unit
-(** {!iter_merge} restricted to vids in [\[lo, hi)] — one morsel of a
-    pruned parallel scan.  Thread-safety mirrors {!scan_range}. *)
+(** Scan only the partitions whose label id [keep] accepts, restricted
+    to vids in [\[lo, hi)] and merged into global vid order — the same
+    versions, in the same order, as {!iter} followed by a per-tuple
+    label filter, but without ever touching a pruned partition's slots
+    or pages.  One call is one morsel of a pruned parallel scan:
+    it charges each distinct page once per call, and morsels are
+    called concurrently from worker domains, which is safe because
+    {!Buffer_pool} touches are thread-safe and the [version] fields
+    read here ([vid], [tuple], [page]) are immutable after insert;
+    [xmin]/[xmax] are mutated only by writer transactions, which never
+    run concurrently with a read-only parallel scan. *)
 
 val seq_merge : t -> keep:(int -> bool) -> version Seq.t
-(** Lazy {!iter_merge}. *)
+(** Lazy {!iter_merge_range} over the whole vid space. *)

@@ -386,6 +386,38 @@ let test_explain_non_select_rejected () =
   | exception Errors.Sql_error _ -> ()
   | _ -> Alcotest.fail "EXPLAIN supports only SELECT"
 
+(* A reader below every partition: confinement proves both the heap
+   scan and the primary-key index scan label-empty before touching a
+   page, and EXPLAIN ANALYZE reports the skip for each access shape. *)
+let test_explain_reports_label_empty_skips () =
+  let db = Db.create () in
+  let admin = Db.connect_admin db in
+  let owner = Db.create_principal admin ~name:"owner" in
+  let os = Db.connect db ~principal:owner in
+  let secret = Db.create_tag os ~name:"secret" () in
+  ignore (Db.exec admin "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  Db.with_label os (Label.singleton secret) (fun () ->
+      ignore (Db.exec os "INSERT INTO t VALUES (1, 10), (2, 20)"));
+  let low = Db.connect db ~principal:owner in
+  List.iter
+    (fun (shape, sql, scan_op) ->
+      let report, result = Db.explain_analyze low sql in
+      (match result with
+      | Db.Rows { tuples = []; _ } -> ()
+      | _ -> Alcotest.failf "%s: a low reader sees no rows" shape);
+      Alcotest.(check bool)
+        (shape ^ " plans " ^ scan_op) true
+        (List.exists (fun l -> contains l scan_op) report);
+      Alcotest.(check bool)
+        (shape ^ " reports the label-empty skip") true
+        (List.exists
+           (fun l -> contains l "1 scan(s) skipped as label-empty")
+           report))
+    [
+      ("heap scan", "SELECT v FROM t", "Scan(t)");
+      ("index scan", "SELECT v FROM t WHERE id = 1", "Scan(t via t_pkey)");
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Audit log completeness                                              *)
 (* ------------------------------------------------------------------ *)
@@ -686,6 +718,8 @@ let suites =
           test_plain_explain_returns_plan_without_running;
         Alcotest.test_case "EXPLAIN rejects non-SELECT" `Quick
           test_explain_non_select_rejected;
+        Alcotest.test_case "EXPLAIN reports label-empty skips" `Quick
+          test_explain_reports_label_empty_skips;
       ] );
     ( "obs.audit",
       [

@@ -1,20 +1,22 @@
-(* Label-sharded storage (PR 7): the partitioned layout is physically
-   different — per-label heap page runs, per-label index segments,
-   partition-granularity locks — but must be observationally identical
-   to the flat layout.  A random labeled DML + query trace is replayed
-   against one database of each layout and every outcome is compared:
-   result values, result labels, error outcomes, the audit stream and
-   the final visible state.  CI runs the suite at parallelism 1 and at
-   a multi-domain setting ([IFDB_TEST_PARALLELISM]), so the merged
-   morsel path is compared against the flat morsel path too. *)
+(* Label-sharded storage: per-label heap page runs, per-label index
+   segments and partition-granularity locks, with every read confined
+   by one partition filter.  A random labeled DML + query trace is
+   replayed against the engine and against [Qbl_ref], a reference model
+   of Query by Label with none of that machinery, and every observation
+   is compared: result values, result labels, affected counts, error
+   outcomes, the audit stream and the final visible state.  CI runs the
+   suite at parallelism 1 and at a multi-domain setting
+   ([IFDB_TEST_PARALLELISM]), so the merged morsel path is checked
+   against the reference too. *)
 
 module Db = Ifdb_core.Database
 module Label = Ifdb_difc.Label
-module Tag = Ifdb_difc.Tag
+module Authority = Ifdb_difc.Authority
 module Value = Ifdb_rel.Value
 module Tuple = Ifdb_rel.Tuple
 module Audit = Ifdb_obs.Audit
 module Heap = Ifdb_storage.Heap
+module Ref = Qbl_ref
 
 let par_width =
   match Sys.getenv_opt "IFDB_TEST_PARALLELISM" with
@@ -22,61 +24,47 @@ let par_width =
   | None -> 4
 
 (* ------------------------------------------------------------------ *)
-(* Trace language                                                      *)
+(* Trace generation                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Labels are masks over two tags, so traces exercise the empty
    partition, both singletons and the union — enough to make pruning,
    polyinstantiation and Write-Rule rejections all reachable. *)
-type op =
-  | Insert of int * int * int  (* id, v, session label mask *)
-  | Update of int * int * int  (* id, new v, session label mask *)
-  | Delete of int * int        (* id, session label mask *)
-  | Query of int               (* reader label mask *)
-
-let pp_op = function
-  | Insert (id, v, m) -> Printf.sprintf "Insert(%d,%d,%d)" id v m
-  | Update (id, v, m) -> Printf.sprintf "Update(%d,%d,%d)" id v m
-  | Delete (id, m) -> Printf.sprintf "Delete(%d,%d)" id m
-  | Query m -> Printf.sprintf "Query(%d)" m
-
 let gen_op =
   QCheck.Gen.(
     let id = int_bound 7 and v = int_bound 9 and mask = int_bound 3 in
     frequency
       [
-        (4, map3 (fun i x m -> Insert (i, x, m)) id v mask);
-        (2, map3 (fun i x m -> Update (i, x, m)) id v mask);
-        (2, map2 (fun i m -> Delete (i, m)) id mask);
-        (3, map (fun m -> Query m) mask);
+        (4, map3 (fun i x m -> Ref.Insert (i, x, m)) id v mask);
+        (2, map3 (fun i x m -> Ref.Update (i, x, m)) id v mask);
+        (2, map2 (fun i m -> Ref.Delete (i, m)) id mask);
+        (3, map (fun m -> Ref.Query m) mask);
       ])
 
-let gen_trace = QCheck.Gen.(list_size (int_range 5 30) gen_op)
+(* A trace appends at most one version per statement, and a table
+   runs morsel-parallel only from two morsels (32 slots at
+   [morsel_size:16]) up, so the parallel property needs traces long
+   enough to get there. *)
+let gen_trace (lo, hi) = QCheck.Gen.(list_size (int_range lo hi) gen_op)
+
+let pp_trace ops = String.concat "; " (List.map Ref.pp_op ops)
 
 (* ------------------------------------------------------------------ *)
-(* Replay                                                              *)
+(* Engine replay                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One op's observable outcome: the rows it returned (values + label)
-   or the error it raised, rendered to strings so the two layouts can
-   be diffed structurally. *)
-type outcome =
-  | Rows of (string list * string) list
-  | Count of int
-  | Error of string
-
-let row_key t =
-  ( List.map Value.to_string (Array.to_list (Tuple.values t)),
-    Label.to_string (Tuple.label t) )
-
-let replay ~partitioned ~parallelism ops =
-  let db = Db.create ~partitioned ~parallelism ~morsel_size:16 () in
+let replay ~parallelism ops : Ref.observation =
+  let db = Db.create ~parallelism ~morsel_size:16 () in
   let admin = Db.connect_admin db in
   let owner = Db.create_principal admin ~name:"owner" in
   let os = Db.connect db ~principal:owner in
   let ta = Db.create_tag os ~name:"ta" () in
   let tb = Db.create_tag os ~name:"tb" () in
   ignore (Db.exec admin "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+  let row_key t =
+    ( List.map Value.to_string (Array.to_list (Tuple.values t)),
+      Authority.label_to_string (Db.authority db) (Tuple.label t) )
+  in
   let session mask =
     let s = Db.connect db ~principal:owner in
     if mask land 1 <> 0 then Db.add_secrecy s ta;
@@ -85,28 +73,28 @@ let replay ~partitioned ~parallelism ops =
   in
   let run mask sql =
     match Db.exec (session mask) sql with
-    | Db.Rows { tuples; _ } -> Rows (List.map row_key tuples)
-    | Db.Affected n -> Count n
-    | Db.Done _ -> Count 0
-    | exception e -> Error (Printexc.to_string e)
+    | Db.Rows { tuples; _ } -> Ref.Rows (List.map row_key tuples)
+    | Db.Affected n -> Ref.Count n
+    | Db.Done _ -> Ref.Count 0
+    | exception e -> Ref.Error (Printexc.to_string e)
   in
   let outcomes =
     List.map
       (fun op ->
         match op with
-        | Insert (id, v, m) ->
+        | Ref.Insert (id, v, m) ->
             run m (Printf.sprintf "INSERT INTO t VALUES (%d, %d)" id v)
-        | Update (id, v, m) ->
+        | Ref.Update (id, v, m) ->
             run m (Printf.sprintf "UPDATE t SET v = %d WHERE id = %d" v id)
-        | Delete (id, m) ->
+        | Ref.Delete (id, m) ->
             run m (Printf.sprintf "DELETE FROM t WHERE id = %d" id)
-        | Query m -> run m "SELECT id, v FROM t ORDER BY id, v")
+        | Ref.Query m -> run m "SELECT id, v FROM t ORDER BY id, v")
       ops
   in
   let final =
     match run 3 "SELECT id, v FROM t ORDER BY id, v" with
-    | Rows rows -> rows
-    | Count _ | Error _ -> assert false
+    | Ref.Rows rows -> rows
+    | Ref.Count _ | Ref.Error _ -> assert false
   in
   let audit =
     List.map
@@ -115,21 +103,16 @@ let replay ~partitioned ~parallelism ops =
   in
   (outcomes, final, audit)
 
-let check_equivalence ~parallelism ops =
-  let a = replay ~partitioned:true ~parallelism ops in
-  let b = replay ~partitioned:false ~parallelism ops in
-  if a <> b then
-    QCheck.Test.fail_reportf "partitioned /= flat on@ [%s]"
-      (String.concat "; " (List.map pp_op ops));
+let check_reference ~parallelism ops =
+  if replay ~parallelism ops <> Ref.run ops then
+    QCheck.Test.fail_reportf "engine /= reference on@ [%s]" (pp_trace ops);
   true
 
-let qcheck_equivalence ~count ~parallelism name =
+let qcheck_reference ~count ~parallelism ~len name =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count ~name
-       (QCheck.make
-          ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
-          gen_trace)
-       (fun ops -> check_equivalence ~parallelism ops))
+       (QCheck.make ~print:pp_trace (gen_trace len))
+       (fun ops -> check_reference ~parallelism ops))
 
 (* ------------------------------------------------------------------ *)
 (* Pruning is observable                                               *)
@@ -145,7 +128,6 @@ let test_pruning_observable () =
   let os = Db.connect db ~principal:owner in
   let tag = Db.create_tag os ~name:"secret" () in
   ignore (Db.exec admin "CREATE TABLE r (id INT PRIMARY KEY, v INT)");
-  Alcotest.(check bool) "partitioned by default" true (Db.partitioned db);
   ignore (Db.exec admin "INSERT INTO r VALUES (1, 10)");
   ignore (Db.exec admin "INSERT INTO r VALUES (2, 20)");
   let hs = Db.connect db ~principal:owner in
@@ -229,10 +211,10 @@ let suites =
   [
     ( "partition",
       [
-        qcheck_equivalence ~count:40 ~parallelism:1
-          "partitioned = flat (serial)";
-        qcheck_equivalence ~count:12 ~parallelism:par_width
-          "partitioned = flat (parallel)";
+        qcheck_reference ~count:40 ~parallelism:1 ~len:(5, 30)
+          "engine = reference (serial)";
+        qcheck_reference ~count:12 ~parallelism:par_width ~len:(60, 150)
+          "engine = reference (parallel)";
         Alcotest.test_case "pruning observable" `Quick test_pruning_observable;
         Alcotest.test_case "IVM skips foreign partitions" `Quick
           test_ivm_partition_skip;
