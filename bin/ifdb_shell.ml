@@ -22,7 +22,8 @@
                              multi-line script (statements and \meta
                              commands) until a lone \end
      \partitions [TABLE]     label partition directory (versions/live/pages)
-     \vacuum                 reclaim dead versions
+     \vacuum                 reclaim dead versions an ended snapshot held
+                             (commits and aborts already reclaim)
      \wal                    WAL and group-commit statistics
      \metrics [reset]        metrics registry in Prometheus text format
      \explain [analyze] SQL  plan tree / traced execution report

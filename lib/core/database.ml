@@ -35,6 +35,8 @@ module Group_commit = Ifdb_txn.Group_commit
 
 open Errors
 
+module Int_map = Map.Make (Int)
+
 type isolation = Snapshot | Serializable
 
 (* Instruments the statement path updates directly.  Everything else in
@@ -132,8 +134,12 @@ and t = {
   scalars : (string, callable) Hashtbl.t;
   procedures : (string, callable) Hashtbl.t;
   mutable triggers : trigger list;
-  mutable commits_since_vacuum : int;
-  autovacuum_every : int;
+  gc_mu : Mutex.t;
+  mutable superseded : (Heap.t * int) list Int_map.t;
+      (* versions superseded by committed transactions, filed under the
+         deleter's xid until the reclamation horizon passes it; guarded
+         by [gc_mu], since concurrent committers on the domain pool
+         file and drain here *)
   parallelism : int;
       (* domains used per query (caller included); 1 = serial *)
   morsel : int; (* slots per morsel for parallel sequential scans *)
@@ -930,38 +936,143 @@ let fire_triggers s ~table ~kind ~old_ ~new_ =
     s.sdb.triggers
 
 
-(* Dead-version reclamation.  PostgreSQL's (auto)vacuum equivalent: a
-   version is dead once its deleter committed before every live
-   snapshot, or its creator aborted.  Exempt from flow rules (paper
-   section 7.1).  Without this, hot MVCC chains (TPC-C's district and
-   stock rows) grow without bound and every index probe wades through
-   dead versions. *)
-let vacuum t =
+(* Dead-version reclamation, driven by writes.  A committing
+   transaction files the versions it superseded under its xid; every
+   commit and abort then reclaims the filed versions whose deleter
+   committed below [Manager.oldest_visible_xid], so no open or future
+   snapshot can see them.  An aborted transaction's inserts are
+   reclaimed at once: no snapshot ever saw them.  Each writer pays at
+   its own commit, in proportion to its own write set; no commit walks
+   the database.  Exempt from flow rules (paper section 7.1).  Without
+   this, hot MVCC chains (TPC-C's district rows, ingest's latest-point
+   rows) grow without bound and every index probe wades through dead
+   versions. *)
+
+(* Drop one version from its heap slot, its partition count and its
+   table's index segments.  The heap is matched to its table by
+   identity: a version of a dropped (or dropped and re-created) table
+   went with its heap and is skipped. *)
+let reclaim_version t heap vid =
+  match Catalog.find_table t.cat (Heap.name heap) with
+  | Some tbl when tbl.Catalog.tbl_heap == heap -> (
+      match Heap.reclaim heap vid with
+      | Some v ->
+          Catalog.remove_from_indexes t.cat tbl (Tuple.values v.Heap.tuple)
+            ~lid:(Tuple.label_id v.Heap.tuple) vid;
+          1
+      | None -> 0)
+  | Some _ | None -> 0
+
+(* Reclaim every filed version whose deleter is below the horizon.
+   The map is ordered by deleter xid, so a long-lived snapshot that
+   holds the horizon back costs one comparison, not a walk over the
+   waiting entries.  Caller holds [gc_mu]. *)
+let drain_superseded t =
   let horizon = Manager.oldest_visible_xid t.mgr in
-  let removed = ref 0 in
-  List.iter
-    (fun (tbl : Catalog.table) ->
-      let dead_vids = Hashtbl.create 16 in
-      Heap.iter tbl.Catalog.tbl_heap (fun v ->
-          let dead =
-            (match Manager.status_of t.mgr v.Heap.xmin with
-            | Manager.Aborted -> true
-            | Manager.Committed | Manager.In_progress -> false)
-            || (v.Heap.xmax <> 0
-               && Manager.status_of t.mgr v.Heap.xmax = Manager.Committed
-               && v.Heap.xmax < horizon)
-          in
-          if dead then begin
-            Hashtbl.replace dead_vids v.Heap.vid ();
-            Catalog.remove_from_indexes t.cat tbl (Tuple.values v.Heap.tuple)
-              ~lid:(Tuple.label_id v.Heap.tuple) v.Heap.vid
-          end);
-      removed :=
-        !removed
-        + Heap.vacuum tbl.Catalog.tbl_heap ~dead:(fun v ->
-              Hashtbl.mem dead_vids v.Heap.vid))
-    (Catalog.all_tables t.cat);
-  !removed
+  match Int_map.min_binding_opt t.superseded with
+  | Some (xid, _) when xid < horizon ->
+      let due, at, later = Int_map.split horizon t.superseded in
+      t.superseded <-
+        (match at with Some vs -> Int_map.add horizon vs later | None -> later);
+      let reclaim n (heap, vid) = n + reclaim_version t heap vid in
+      Int_map.fold (fun _ vs n -> List.fold_left reclaim n vs) due 0
+  | Some _ | None -> 0
+
+(* Run once a transaction has ended: after [Manager.commit] and the IVM
+   deltas (which read the write set's versions), or after
+   [Manager.abort]. *)
+let reclaim_ended t txn =
+  let committed = Manager.state txn = Manager.Committed in
+  Mutex.protect t.gc_mu (fun () ->
+      let superseded =
+        List.fold_left
+          (fun acc (w : Manager.write) ->
+            match (w.Manager.w_kind, committed) with
+            | `Delete, true -> (w.Manager.w_heap, w.Manager.w_vid) :: acc
+            | `Insert, false ->
+                ignore (reclaim_version t w.Manager.w_heap w.Manager.w_vid);
+                acc
+            | `Delete, false | `Insert, true -> acc)
+          [] (Manager.writes_newest_first txn)
+      in
+      if superseded <> [] then
+        t.superseded <- Int_map.add (Manager.xid txn) superseded t.superseded;
+      ignore (drain_superseded t))
+
+let vacuum t = Mutex.protect t.gc_mu (fun () -> drain_superseded t)
+
+(* Storage consistency: heap slots, partition counts and index segments
+   agree.  Scans every heap (charging its pages) and probes every
+   index, so it is for tests and maintenance, not the statement
+   path. *)
+let check_invariants t =
+  let fail fmt = Printf.ksprintf failwith fmt in
+  let check_table (tbl : Catalog.table) =
+    let heap = tbl.Catalog.tbl_heap in
+    let name = Heap.name heap in
+    let versions = List.of_seq (Heap.to_seq heap) in
+    let n_versions = List.length versions in
+    let vids vs = List.map (fun (v : Heap.version) -> v.Heap.vid) vs in
+    let lid (v : Heap.version) = Tuple.label_id v.Heap.tuple in
+    let key idx (v : Heap.version) =
+      Catalog.index_key idx (Tuple.values v.Heap.tuple)
+    in
+    if vids (List.of_seq (Heap.seq_merge heap ~keep:(fun _ -> true)))
+       <> vids versions
+    then fail "%s: partition vid directories disagree with the slots" name;
+    let stats = Heap.partition_stats heap in
+    List.iter
+      (fun (ps : Heap.partition_stats) ->
+        let n =
+          List.length (List.filter (fun v -> lid v = ps.ps_lid) versions)
+        in
+        if n <> ps.ps_versions || ps.ps_live > n then
+          fail "%s: partition %d counts %d versions (%d live), slots hold %d"
+            name ps.ps_lid ps.ps_versions ps.ps_live n)
+      stats;
+    let counted =
+      List.fold_left (fun n ps -> n + ps.Heap.ps_versions) 0 stats
+    in
+    if counted <> n_versions then
+      fail "%s: partitions count %d versions, slots hold %d" name counted
+        n_versions;
+    List.iter
+      (fun (idx : Catalog.index) ->
+        let iname = idx.Catalog.idx_name in
+        let entries = ref 0 in
+        Hashtbl.iter
+          (fun seg tree ->
+            (match Btree.check_invariants tree with
+            | Ok () -> ()
+            | Error e -> fail "%s segment %d: %s" iname seg e);
+            entries := !entries + Btree.entry_count tree;
+            Btree.iter_all tree (fun k vid ->
+                match Heap.get_opt heap vid with
+                | None -> fail "%s: entry %d resolves to no version" iname vid
+                | Some v ->
+                    if lid v <> seg then
+                      fail "%s: entry %d sits in segment %d, its label id is %d"
+                        iname vid seg (lid v);
+                    if Btree.compare_key k (key idx v) <> 0 then
+                      fail "%s: entry %d is filed under a stale key" iname vid))
+          idx.Catalog.idx_segs;
+        List.iter
+          (fun v ->
+            let indexed =
+              match Hashtbl.find_opt idx.Catalog.idx_segs (lid v) with
+              | Some tree -> List.mem v.Heap.vid (Btree.find tree (key idx v))
+              | None -> false
+            in
+            if not indexed then
+              fail "%s: version %d is missing from the index" iname v.Heap.vid)
+          versions;
+        if !entries <> n_versions then
+          fail "%s: %d entries for %d versions" iname !entries n_versions)
+      tbl.Catalog.tbl_indexes
+  in
+  match List.iter check_table (Catalog.all_tables t.cat) with
+  | () -> Ok ()
+  | exception Failure e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Transaction control                                                 *)
@@ -969,6 +1080,7 @@ let vacuum t =
 
 let do_abort s txn =
   Manager.abort s.sdb.mgr txn;
+  reclaim_ended s.sdb txn;
   Metrics.incr s.sdb.mx.mx_aborts;
   s.s_txn <- None;
   s.s_implicit <- false;
@@ -1041,7 +1153,7 @@ let do_commit s txn =
      into every materialized view over the written tables (insert +1,
      delete −1; an UPDATE contributes both and the signs compose).
      After [Manager.commit] so the registry's committed-now scans see
-     the new state, before autovacuum so every written version is
+     the new state, before reclamation so every written version is
      still resolvable. *)
   (if Ivm.count db.ivm > 0 then
      let ws = Manager.writes txn in
@@ -1072,11 +1184,7 @@ let do_commit s txn =
        in
        Ivm.apply db.ivm deltas
      end);
-  db.commits_since_vacuum <- db.commits_since_vacuum + 1;
-  if db.commits_since_vacuum >= db.autovacuum_every then begin
-    db.commits_since_vacuum <- 0;
-    ignore (vacuum db)
-  end
+  reclaim_ended db txn
 
 let in_statement_txn s f =
   match s.s_txn with
@@ -2966,8 +3074,8 @@ let create ?(ifc = true) ?(label_cache = true) ?(isolation = Snapshot)
       scalars = Hashtbl.create 16;
       procedures = Hashtbl.create 16;
       triggers = [];
-      commits_since_vacuum = 0;
-      autovacuum_every = 256;
+      gc_mu = Mutex.create ();
+      superseded = Int_map.empty;
       parallelism;
       morsel = morsel_size;
       pruned_parts;

@@ -447,8 +447,22 @@ val check_script : session -> string -> check_item list
 (** {1 Maintenance} *)
 
 val vacuum : t -> int
-(** Remove dead tuple versions (exempt from flow rules, section 7.1);
-    returns the number removed. *)
+(** Reclaim the dead tuple versions still waiting for the reclamation
+    horizon; returns the number removed.  Every commit and abort
+    already does this: a committing transaction files the versions it
+    superseded, and they are reclaimed (heap slot, partition count,
+    index entries) once no open snapshot can see them; an aborted
+    transaction's inserts are reclaimed at abort.  So this finds work
+    only after a long-lived snapshot ended without a commit or abort
+    since.  Exempt from flow rules (section 7.1). *)
+
+val check_invariants : t -> (unit, string) Stdlib.result
+(** Storage consistency: every table's heap slots, per-partition
+    version counts and vid directories, and index segments agree.
+    Every index entry resolves to an unreclaimed version carrying the
+    segment's label id and the entry's key; every unreclaimed version
+    is in every index of its table, once.  Scans every heap, so it is
+    for tests and maintenance. *)
 
 val checkpoint : t -> unit
 (** Flush dirty pages (charges simulated write I/O). *)

@@ -3,7 +3,7 @@
 
     Keys are value vectors ([Value.t array]) compared lexicographically.
     A key maps to a {e set} of version ids: MVCC keeps superseded
-    versions indexed until vacuum, and polyinstantiation (section
+    versions indexed until reclaimed, and polyinstantiation (section
     5.2.1) deliberately stores several tuples under one user-visible
     key, distinguished only by label.  Uniqueness is therefore enforced
     above this layer, where visibility and labels are known — exactly

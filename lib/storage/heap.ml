@@ -15,8 +15,8 @@ type version = {
 type partition = {
   p_lid : int;
   mutable p_vids : int array; (* ascending, append-only *)
-  mutable p_len : int;        (* appended versions (including vacuumed) *)
-  mutable p_count : int;      (* non-vacuumed versions *)
+  mutable p_len : int;        (* appended versions (including reclaimed) *)
+  mutable p_count : int;      (* unreclaimed versions *)
   mutable p_live : int;       (* versions not yet deleted-and-committed *)
   mutable p_current_page : int; (* -1 until the first insert *)
   mutable p_page_used : int;
@@ -34,7 +34,7 @@ type t = {
      groups the uninterned).  A sequential scan reads this to decide
      each distinct label once instead of per tuple; distinct labels are
      few (the paper saw 0-2 tags per tuple and a handful of label
-     shapes per table).  Maintained incrementally on insert, vacuum and
+     shapes per table).  Maintained incrementally on insert, reclaim and
      commit/abort — never rebuilt by scanning the heap. *)
   parts : (int, partition) Hashtbl.t;
 }
@@ -87,7 +87,7 @@ let retire_version t ~lid =
 
 type partition_stats = {
   ps_lid : int;
-  ps_versions : int; (* non-vacuumed versions *)
+  ps_versions : int; (* unreclaimed versions *)
   ps_live : int;     (* versions not deleted-and-committed *)
   ps_pages : int;    (* pages in the partition's run *)
 }
@@ -202,21 +202,17 @@ let version_count t =
 
 let page_count t = t.pages
 
-let vacuum t ~dead =
-  let removed = ref 0 in
-  for i = 0 to t.len - 1 do
-    match t.slots.(i) with
-    | Some v when dead v ->
-        t.slots.(i) <- None;
-        (match
-           Hashtbl.find_opt t.parts (Ifdb_rel.Tuple.label_id v.tuple)
-         with
+let reclaim t vid =
+  if vid < 0 || vid >= t.len then None
+  else
+    match t.slots.(vid) with
+    | None -> None
+    | Some v as slot ->
+        t.slots.(vid) <- None;
+        (match Hashtbl.find_opt t.parts (Ifdb_rel.Tuple.label_id v.tuple) with
         | Some p -> p.p_count <- p.p_count - 1
         | None -> ());
-        incr removed
-    | Some _ | None -> ()
-  done;
-  !removed
+        slot
 
 let to_seq t =
   let last_page = ref (-1) in
@@ -282,7 +278,7 @@ let iter_merge_range t ~keep ~lo ~hi f =
     if !pos >= p.p_len || p.p_vids.(!pos) >= hi then
       cursors := List.filter (fun (q, _) -> q != p) !cursors;
     (match t.slots.(vid) with
-    | None -> () (* vacuumed since the directory entry was appended *)
+    | None -> () (* reclaimed since the directory entry was appended *)
     | Some v ->
         if v.page <> !last_page then begin
           Buffer_pool.touch t.bp v.page;

@@ -14,7 +14,7 @@
     {b Label partitions.}  The heap keeps a partition directory keyed
     by interned label id (-1 groups the uninterned): each partition
     records its slice of the vid space in ascending order, maintained
-    incrementally on insert/vacuum — never rebuilt by scanning.  Each
+    incrementally on insert/reclaim — never rebuilt by scanning.  Each
     partition also owns its page run, so tuples under different labels
     never share a page and label confinement prunes whole page runs by
     construction.  The merged-scan primitives enumerate only the
@@ -58,18 +58,20 @@ val iter : t -> (version -> unit) -> unit
 
 val slot_count : t -> int
 (** Upper bound of the version-id space: the partition domain for
-    morsel-parallel scans (includes vacuumed holes, which scan as
+    morsel-parallel scans (includes reclaimed holes, which scan as
     empty). *)
 
 val version_count : t -> int
-(** Number of versions ever created and not vacuumed. *)
+(** Number of versions ever created and not reclaimed. *)
 
 val page_count : t -> int
 
-val vacuum : t -> dead:(version -> bool) -> int
-(** Drop versions satisfying [dead]; returns how many were removed.
-    The garbage collector is exempt from information flow rules
-    (section 7.1) — it never inspects labels. *)
+val reclaim : t -> int -> version option
+(** Remove one dead version from its slot and its partition's count,
+    returning it ([None] if the slot is already empty).  The caller
+    decides deadness and drops the version's index entries.  Touches
+    no page.  The garbage collector is exempt from information flow
+    rules (section 7.1): it never inspects labels. *)
 
 val tuple_bytes : t -> Ifdb_rel.Tuple.t -> int
 (** Size of a tuple under this heap's size model. *)
@@ -82,18 +84,18 @@ val to_seq : t -> version Seq.t
 
 val iter_label_counts : t -> (int -> int -> unit) -> unit
 (** [iter_label_counts t f] calls [f label_id count] for each label-id
-    partition with live (non-vacuumed) versions; uninterned tuples
+    partition with unreclaimed versions; uninterned tuples
     ([Tuple.label_id = -1]) are grouped under [-1].  A sequential scan
     uses this to decide the visibility of every distinct label once up
     front and skip whole invisible groups, instead of re-deciding per
-    tuple.  Counts include versions awaiting vacuum, so the partition
+    tuple.  Counts include dead versions not yet reclaimed, so the partition
     set is a superset of the visible labels — safe for pruning. *)
 
 val distinct_label_count : t -> int
 (** Number of distinct label-id partitions currently present. *)
 
 val has_partition : t -> int -> bool
-(** Does a partition with non-vacuumed versions exist for this label
+(** Does a partition with unreclaimed versions exist for this label
     id?  Writers consult this {e before} inserting to decide whether
     the insert creates a new partition (which must conflict with
     concurrent full-table scans under serializable locking). *)
@@ -101,19 +103,19 @@ val has_partition : t -> int -> bool
 val retire_version : t -> lid:int -> unit
 (** A version under [lid] stopped being live (its deleter committed,
     or its creating transaction aborted): decrement the partition's
-    live count.  Stats only — scan pruning keys on the non-vacuumed
+    live count.  Stats only — scan pruning keys on the unreclaimed
     count, which stays a sound superset for every open snapshot. *)
 
 type partition_stats = {
   ps_lid : int;
-  ps_versions : int; (** non-vacuumed versions *)
+  ps_versions : int; (** unreclaimed versions *)
   ps_live : int;     (** versions not deleted-and-committed *)
   ps_pages : int;    (** pages in the partition's run *)
 }
 
 val partition_stats : t -> partition_stats list
 (** Per-partition stats, sorted by label id; partitions whose versions
-    were all vacuumed are omitted. *)
+    were all reclaimed are omitted. *)
 
 (** {1 Merged scans over selected partitions} *)
 

@@ -344,8 +344,8 @@ let commit t txn =
           ~args:[ ("lock", "s2pl") ]
           ~t0:txn.t_lock_t0 ~t1:t2);
   (* committed deletes retire their versions from the partition live
-     counts (directory stats; scan pruning keys on the non-vacuumed
-     counts, which only vacuum shrinks) *)
+     counts (directory stats; scan pruning keys on the unreclaimed
+     counts, which only reclamation shrinks) *)
   List.iter
     (fun w ->
       match w.w_kind with
@@ -385,7 +385,12 @@ let with_txn t f =
       abort t txn;
       raise e
 
+(* The reclamation horizon is the oldest [snap_xmin] of any open
+   snapshot, not the oldest [snap_xmax]: a snapshot taken while a
+   deleter was still running keeps seeing the deleted version after
+   that deleter commits, even when the deleter's xid is below the
+   snapshot's [snap_xmax]. *)
 let oldest_visible_xid t =
   List.fold_left
-    (fun acc txn -> min acc txn.snapshot.Snapshot.snap_xmax)
+    (fun acc txn -> min acc txn.snapshot.Snapshot.snap_xmin)
     t.next_xid t.open_txns

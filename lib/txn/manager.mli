@@ -178,5 +178,7 @@ val live_xids : t -> int list
 (** Xids currently in progress. *)
 
 val oldest_visible_xid : t -> int
-(** A horizon for vacuum: versions deleted by transactions that
-    committed before every live snapshot are dead. *)
+(** The reclamation horizon: the oldest xid whose outcome some open
+    snapshot may not see (see {!Snapshot.t.snap_xmin}).  A version
+    whose deleter committed with an xid below it is invisible to every
+    open and future snapshot, so it is dead. *)

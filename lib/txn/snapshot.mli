@@ -9,6 +9,10 @@ type t = {
   snap_xmax : int;
   (** First xid invisible to this snapshot: every xid >= this started
       after the snapshot was taken. *)
+  snap_xmin : int;
+  (** Oldest xid whose outcome this snapshot may not see: the smallest
+      of [snap_xmax] and the [in_progress] xids.  Every xid below it
+      that committed is visible to this snapshot. *)
   in_progress : (int, unit) Hashtbl.t;
   (** Xids below [snap_xmax] that were still running at snapshot
       time. *)

@@ -9,6 +9,7 @@ module Tag = Ifdb_difc.Tag
 module Value = Ifdb_rel.Value
 module Tuple = Ifdb_rel.Tuple
 module Catalog = Ifdb_engine.Catalog
+module Heap = Ifdb_storage.Heap
 
 let ( => ) row i = Tuple.get row i
 let text s = Value.Text s
@@ -895,18 +896,156 @@ let test_baseline_mode_plain_sql () =
 (* Maintenance                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Dead versions are reclaimed at commit once no snapshot can see them,
+   so an open snapshot-isolation reader is what keeps them around. *)
+let check_storage db =
+  match Db.check_invariants db with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
+
 let test_vacuum_core () =
   let db = Db.create () in
   let s = Db.connect_admin db in
   ignore (Db.exec s "CREATE TABLE T (a INT)");
   ignore (Db.exec s "INSERT INTO T VALUES (1), (2), (3)");
+  let reader = Db.connect_admin db in
+  ignore (Db.exec reader "BEGIN");
+  let read () =
+    List.sort Int.compare (ints_of_rows (Db.query reader "SELECT a FROM T"))
+  in
+  Alcotest.(check (list int)) "reader snapshot" [ 1; 2; 3 ] (read ());
   ignore (Db.exec s "UPDATE T SET a = a + 10");
   ignore (Db.exec s "DELETE FROM T WHERE a = 11");
-  let removed = Db.vacuum db in
-  (* 3 superseded originals + 1 deleted new version *)
-  Alcotest.(check int) "dead versions removed" 4 removed;
+  let versions () =
+    List.concat_map
+      (fun tp ->
+        List.map
+          (fun ps -> (ps.Heap.ps_versions, ps.Heap.ps_live))
+          tp.Db.tp_stats)
+      (Db.partition_report db)
+  in
+  Alcotest.(check (list int)) "reader still sees its snapshot" [ 1; 2; 3 ]
+    (read ());
+  (* 3 superseded originals + 1 deleted new version, held by the reader *)
+  Alcotest.(check (list (pair int int))) "4 dead versions wait for the reader"
+    [ (6, 2) ] (versions ());
+  Alcotest.(check int) "vacuum cannot pass the reader's horizon" 0
+    (Db.vacuum db);
+  ignore (Db.exec reader "COMMIT");
+  Alcotest.(check (list (pair int int))) "reclaimed at the reader's commit"
+    [ (2, 2) ] (versions ());
+  Alcotest.(check int) "nothing left for vacuum" 0 (Db.vacuum db);
   Alcotest.(check (list int)) "data intact" [ 12; 13 ]
-    (List.sort Int.compare (ints_of_rows (Db.query s "SELECT a FROM T")))
+    (List.sort Int.compare (ints_of_rows (Db.query s "SELECT a FROM T")));
+  check_storage db
+
+(* A snapshot taken while a writer is still running must keep seeing
+   the versions that writer supersedes after it commits, even though
+   the writer's xid is older than the snapshot's. *)
+let test_reader_under_running_writer () =
+  let db = Db.create () in
+  let w = Db.connect_admin db in
+  ignore (Db.exec w "CREATE TABLE T (a INT)");
+  ignore (Db.exec w "INSERT INTO T VALUES (1), (2)");
+  ignore (Db.exec w "BEGIN");
+  ignore (Db.exec w "UPDATE T SET a = a + 10");
+  let reader = Db.connect_admin db in
+  ignore (Db.exec reader "BEGIN");
+  let read () =
+    List.sort Int.compare (ints_of_rows (Db.query reader "SELECT a FROM T"))
+  in
+  Alcotest.(check (list int)) "before the writer commits" [ 1; 2 ] (read ());
+  ignore (Db.exec w "COMMIT");
+  Alcotest.(check (list int)) "after the writer commits" [ 1; 2 ] (read ());
+  ignore (Db.exec reader "COMMIT");
+  Alcotest.(check (list int)) "a fresh snapshot sees the update" [ 11; 12 ]
+    (List.sort Int.compare (ints_of_rows (Db.query reader "SELECT a FROM T")));
+  check_storage db
+
+(* Under autocommit a hot row's MVCC chain stays one version long, so
+   the cost of an UPDATE does not grow with the row's history. *)
+let test_bounded_chain () =
+  let db = Db.create () in
+  let s = Db.connect_admin db in
+  ignore (Db.exec s "CREATE TABLE T (id INT PRIMARY KEY, v INT)");
+  ignore (Db.exec s "INSERT INTO T VALUES (1, 0)");
+  let update () = ignore (Db.exec s "UPDATE T SET v = v + 1 WHERE id = 1") in
+  (* mean minor words of updates [first..last] *)
+  let words first last =
+    let w0 = Gc.minor_words () in
+    for _ = first to last do
+      update ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (last - first + 1)
+  in
+  ignore (words 1 40);
+  let at_50 = words 41 50 in
+  ignore (words 51 1990);
+  let at_2000 = words 1991 2000 in
+  Alcotest.(check (list int)) "value" [ 2000 ]
+    (List.map (fun r -> Value.to_int (r => 1)) (Db.query s "SELECT * FROM T"));
+  Alcotest.(check (list (pair int int))) "one version, live"
+    [ (1, 1) ]
+    (List.concat_map
+       (fun tp ->
+         List.map
+           (fun ps -> (ps.Heap.ps_versions, ps.Heap.ps_live))
+           tp.Db.tp_stats)
+       (Db.partition_report db));
+  if at_2000 > 1.25 *. at_50 then
+    Alcotest.failf "update 2000 allocates %.0f words, update 50 %.0f" at_2000
+      at_50;
+  check_storage db
+
+(* Versions filed for a table that is then dropped and re-created under
+   the same name belong to the old heap: draining them must not touch
+   the new table's versions, whose vids start from 0 again. *)
+let test_dropped_table_entries () =
+  let db = Db.create () in
+  let s = Db.connect_admin db in
+  ignore (Db.exec s "CREATE TABLE T (id INT PRIMARY KEY, v INT)");
+  ignore (Db.exec s "INSERT INTO T VALUES (1, 0), (2, 0)");
+  let reader = Db.connect_admin db in
+  ignore (Db.exec reader "BEGIN");
+  ignore (Db.query reader "SELECT * FROM T");
+  ignore (Db.exec s "UPDATE T SET v = 1");
+  ignore (Db.exec s "DROP TABLE T");
+  ignore (Db.exec s "CREATE TABLE T (id INT PRIMARY KEY, v INT)");
+  ignore (Db.exec s "INSERT INTO T VALUES (3, 0), (4, 0)");
+  ignore (Db.exec reader "COMMIT");
+  Alcotest.(check (list int)) "the new table keeps its rows" [ 3; 4 ]
+    (List.sort Int.compare (ints_of_rows (Db.query s "SELECT id FROM T")));
+  check_storage db
+
+(* ROLLBACK reclaims the aborted inserts: heap slot, partition count and
+   every index entry, so the key is free again. *)
+let test_abort_reclaims () =
+  let db = Db.create () in
+  let s = Db.connect_admin db in
+  ignore (Db.exec s "CREATE TABLE T (id INT PRIMARY KEY, v TEXT)");
+  ignore (Db.exec s "CREATE INDEX t_v ON T (v)");
+  ignore (Db.exec s "BEGIN");
+  ignore (Db.exec s "INSERT INTO T VALUES (1, 'x')");
+  ignore (Db.exec s "ROLLBACK");
+  Alcotest.(check int) "no version left" 0
+    (List.length (Db.partition_report db));
+  let tbl = Catalog.table (Db.catalog db) "T" in
+  Alcotest.(check int) "primary key and secondary index" 2
+    (List.length tbl.Catalog.tbl_indexes);
+  List.iter
+    (fun idx ->
+      Alcotest.(check int)
+        (idx.Catalog.idx_name ^ " has no entry")
+        0
+        (Hashtbl.fold
+           (fun _ tree n -> n + Ifdb_storage.Btree.entry_count tree)
+           idx.Catalog.idx_segs 0))
+    tbl.Catalog.tbl_indexes;
+  check_storage db;
+  ignore (Db.exec s "INSERT INTO T VALUES (1, 'y')");
+  Alcotest.(check (list int)) "re-inserted key" [ 1 ]
+    (ints_of_rows (Db.query s "SELECT id FROM T WHERE v = 'y'"));
+  check_storage db
 
 let suites =
   [
@@ -995,5 +1134,14 @@ let suites =
       ] );
     ( "core.baseline",
       [ Alcotest.test_case "ifc off = plain SQL" `Quick test_baseline_mode_plain_sql ] );
-    ("core.maintenance", [ Alcotest.test_case "vacuum" `Quick test_vacuum_core ]);
+    ( "core.maintenance",
+      [
+        Alcotest.test_case "vacuum" `Quick test_vacuum_core;
+        Alcotest.test_case "reader under a running writer" `Quick
+          test_reader_under_running_writer;
+        Alcotest.test_case "bounded chain" `Quick test_bounded_chain;
+        Alcotest.test_case "abort reclaims" `Quick test_abort_reclaims;
+        Alcotest.test_case "dropped table's filed versions" `Quick
+          test_dropped_table_entries;
+      ] );
   ]

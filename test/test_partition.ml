@@ -101,6 +101,13 @@ let replay ~parallelism ops : Ref.observation =
       (fun ev -> (ev.Audit.ev_kind, ev.Audit.ev_principal, ev.Audit.ev_tags))
       (Audit.events (Db.audit_log db))
   in
+  (* every commit and abort reclaimed what it could: heap slots,
+     partition counts and index segments must still agree *)
+  (match Db.check_invariants db with
+  | Ok () -> ()
+  | Error e ->
+      QCheck.Test.fail_reportf "storage invariants broken (%s) on@ [%s]" e
+        (pp_trace ops));
   (outcomes, final, audit)
 
 let check_reference ~parallelism ops =

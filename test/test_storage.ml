@@ -155,13 +155,19 @@ let test_heap_iter_vacuum () =
   Alcotest.(check (list int)) "iter in order" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
     (List.rev !seen);
   Alcotest.(check int) "count" 10 (Heap.version_count h);
+  (* reclaim the even rows, one slot at a time *)
   let removed =
-    Heap.vacuum h ~dead:(fun v -> Value.to_int (Tuple.get v.Heap.tuple 0) mod 2 = 0)
+    List.length (List.filter_map (Heap.reclaim h) [ 0; 2; 4; 6; 8 ])
   in
   Alcotest.(check int) "removed" 5 removed;
   Alcotest.(check int) "count after" 5 (Heap.version_count h);
   Alcotest.(check bool) "dead slot gone" true (Heap.get_opt h 0 = None);
-  Alcotest.(check bool) "live slot stays" true (Heap.get_opt h 1 <> None)
+  Alcotest.(check bool) "reclaiming an empty slot is a no-op" true
+    (Heap.reclaim h 0 = None);
+  Alcotest.(check bool) "live slot stays" true (Heap.get_opt h 1 <> None);
+  Alcotest.(check (list int)) "partition count follows"
+    [ 5 ]
+    (List.map (fun ps -> ps.Heap.ps_versions) (Heap.partition_stats h))
 
 (* ------------------------------------------------------------------ *)
 (* B+tree                                                              *)

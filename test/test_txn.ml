@@ -340,7 +340,11 @@ let test_vacuum_with_horizon () =
      && ver.Heap.xmax < horizon)
     || Manager.status_of m ver.Heap.xmin = Manager.Aborted
   in
-  Alcotest.(check int) "one dead version" 1 (Heap.vacuum h ~dead);
+  let dead_vids = ref [] in
+  Heap.iter h (fun ver ->
+      if dead ver then dead_vids := ver.Heap.vid :: !dead_vids);
+  Alcotest.(check (list int)) "one dead version" [ v.Heap.vid ] !dead_vids;
+  ignore (Heap.reclaim h v.Heap.vid);
   Alcotest.(check int) "heap empty" 0 (Heap.version_count h)
 
 (* Model-based MVCC property: a random history of single-operation
